@@ -180,55 +180,69 @@ type Job struct {
 // RunJobs executes the jobs on the worker pool and returns their results
 // slotted by index: out[i] belongs to jobs[i] no matter which finished
 // first. Jobs naming the same compile spec share one compile through the
-// build cache.
+// build cache. Every result is detached — statistics only, with nil
+// FinalMemory, Arch, Code and Controller (see ResultCache) — and shared
+// results are read-only.
 func (e *Engine) RunJobs(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, error) {
 	out := make([]*RunResult, len(jobs))
 	sweepStart := time.Now()
 	err := e.Map(ctx, len(jobs), func(ctx context.Context, i int) error {
-		j := &jobs[i]
-		jobStart := time.Now()
-		e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
-		e.metrics.jobsStarted.Inc()
-		e.metrics.inflight.Inc()
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
-		if j.Config.Metrics == nil {
-			// A metered engine meters its jobs' controllers too. Metrics is
-			// fingerprint-exempt, so this never splits result-cache entries.
-			j.Config.Metrics = e.cfg.Metrics
-		}
-		build, err := e.cache.Build(j.Compile)
-		if err == nil {
-			if j.Config.OnOptimize == nil {
-				// Hermetic, hook-free job: identical (build, config) pairs
-				// share one simulation through the result cache. The key
-				// includes the run fingerprint, so two configs differing in
-				// anything observable — notably the prefetch policy — can
-				// never alias.
-				out[i], err = e.results.Run(ctx, j.Compile.Key(), build, j.Config)
-			} else {
-				out[i], err = RunContext(ctx, build, j.Config)
-			}
-		}
-		elapsed := uint64(time.Since(jobStart))
-		e.metrics.inflight.Dec()
-		e.metrics.jobLatency.Observe(elapsed)
-		e.metrics.workerBusy.Add(elapsed)
-		if err != nil {
-			e.metrics.jobsFailed.Inc()
-		} else {
-			e.metrics.jobsDone.Inc()
-			e.foldResult(out[i])
-		}
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.Name, err)
-		}
-		return nil
+		return e.runJob(ctx, sweep, jobs, i, sweepStart, out, e.runStraight)
 	})
 	if err != nil {
 		return nil, err
 	}
 	return out, nil
+}
+
+// runJob runs jobs[i] into out[i] and wraps it in the engine's job
+// telemetry and progress events: it compiles the job through the build
+// cache, then hands the build to exec for the simulation itself.
+func (e *Engine) runJob(ctx context.Context, sweep string, jobs []Job, i int, sweepStart time.Time, out []*RunResult,
+	exec func(context.Context, *Job, *compiler.BuildResult) (*RunResult, error)) error {
+	j := &jobs[i]
+	jobStart := time.Now()
+	e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
+	e.metrics.jobsStarted.Inc()
+	e.metrics.inflight.Inc()
+	e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
+	if j.Config.Metrics == nil {
+		// A metered engine meters its jobs' controllers too. Metrics is
+		// fingerprint-exempt, so this never splits result-cache entries.
+		j.Config.Metrics = e.cfg.Metrics
+	}
+	build, err := e.cache.Build(j.Compile)
+	if err == nil {
+		out[i], err = exec(ctx, j, build)
+	}
+	elapsed := uint64(time.Since(jobStart))
+	e.metrics.inflight.Dec()
+	e.metrics.jobLatency.Observe(elapsed)
+	e.metrics.workerBusy.Add(elapsed)
+	if err != nil {
+		e.metrics.jobsFailed.Inc()
+	} else {
+		e.metrics.jobsDone.Inc()
+		e.foldResult(out[i])
+	}
+	e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
+	if err != nil {
+		return fmt.Errorf("%s: %w", j.Name, err)
+	}
+	return nil
+}
+
+// runStraight simulates one job from the start. A hermetic, hook-free
+// job shares one simulation per identical (build, config) pair through
+// the result cache: the key includes the run fingerprint, so two configs
+// differing in anything observable — notably the prefetch policy — can
+// never alias. A hooked job runs privately. Either way the result is
+// detached.
+func (e *Engine) runStraight(ctx context.Context, j *Job, build *compiler.BuildResult) (*RunResult, error) {
+	if j.Config.OnOptimize == nil {
+		return e.results.Run(ctx, j.Compile.Key(), build, j.Config)
+	}
+	return detach(RunContext(ctx, build, j.Config))
 }
 
 // RunJob schedules one job — the unit the serve front door submits per
@@ -253,6 +267,10 @@ type BuildCache struct {
 	misses  atomic.Uint64
 	mHits   *metrics.Counter // optional live mirrors (SetMetrics)
 	mMisses *metrics.Counter
+
+	// buildFn performs the compile; tests substitute a panicking compile
+	// to pin the stranded-waiter fix without real workloads.
+	buildFn func(*compiler.Kernel, compiler.Options) (*compiler.BuildResult, error)
 }
 
 type cacheEntry struct {
@@ -263,7 +281,7 @@ type cacheEntry struct {
 
 // NewBuildCache returns an empty cache.
 func NewBuildCache() *BuildCache {
-	return &BuildCache{entries: map[string]*cacheEntry{}}
+	return &BuildCache{entries: map[string]*cacheEntry{}, buildFn: compiler.Build}
 }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
@@ -274,7 +292,10 @@ func (c *BuildCache) SetMetrics(hits, misses *metrics.Counter) {
 
 // Build returns the build for spec, compiling at most once per key no
 // matter how many goroutines ask concurrently: latecomers block until the
-// first caller's compile finishes and share its result (and error).
+// first caller's compile finishes and share its result (and error). A
+// compile error is deterministic and stays cached; a panicking compile
+// releases its waiters with an error and is evicted before the panic
+// propagates, so neither they nor later callers block on it forever.
 func (c *BuildCache) Build(spec CompileSpec) (*compiler.BuildResult, error) {
 	key := spec.Key()
 	c.mu.Lock()
@@ -290,7 +311,19 @@ func (c *BuildCache) Build(spec CompileSpec) (*compiler.BuildResult, error) {
 	c.mu.Unlock()
 	c.misses.Add(1)
 	c.mMisses.Inc()
-	e.build, e.err = compiler.Build(spec.Kernel, spec.Options)
+
+	finished := false
+	defer func() {
+		if !finished {
+			e.err = fmt.Errorf("harness: build of %s died", key)
+			c.mu.Lock()
+			delete(c.entries, key)
+			c.mu.Unlock()
+			close(e.ready)
+		}
+	}()
+	e.build, e.err = c.buildFn(spec.Kernel, spec.Options)
+	finished = true
 	close(e.ready)
 	return e.build, e.err
 }
@@ -302,10 +335,14 @@ func (c *BuildCache) Stats() (hits, misses uint64) {
 }
 
 // ResultCache is a single-flight cache of completed runs, keyed by the
-// compile key plus the RunConfig fingerprint. Sharing a *RunResult between
-// jobs is safe for the engine's callers, which treat results as read-only;
-// it is NOT used for differential or hook-carrying runs, which go through
-// RunContext directly.
+// compile key plus the RunConfig fingerprint. It stores and returns
+// detached results: statistics only (CPU and controller stats, series,
+// observability outputs, and a statistics-only Mem), with nil
+// FinalMemory, Arch, Code and Controller. A cached entry therefore costs
+// kilobytes, not the simulated heap, code copy, trace pool and cache
+// lines of the machine that produced it. One *RunResult is shared by
+// every hit, so results are read-only by contract. Differential and
+// semantics checks need the machine and call RunContext directly.
 //
 // An optional capacity (NewResultCacheBounded) turns the cache into an
 // LRU: completed entries beyond the bound are evicted oldest-touched
@@ -402,7 +439,7 @@ func (c *ResultCache) Run(ctx context.Context, compileKey string, build *compile
 			close(e.ready)
 		}
 	}()
-	e.res, e.err = c.runFn(ctx, build, cfg)
+	e.res, e.err = detach(c.runFn(ctx, build, cfg))
 	finished = true
 	c.mu.Lock()
 	if e.err != nil {

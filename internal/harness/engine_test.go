@@ -147,6 +147,55 @@ func TestBuildCacheSingleFlight(t *testing.T) {
 	}
 }
 
+// TestBuildCachePanicReleasesWaiters: a panicking compile must release
+// the waiters that joined it with an error and evict its entry before the
+// panic unwinds, so neither they nor any later request for the key block
+// forever, and a retry compiles afresh.
+func TestBuildCachePanicReleasesWaiters(t *testing.T) {
+	c := NewBuildCache()
+	var calls atomic.Int64
+	entered := make(chan struct{})
+	c.buildFn = func(*compiler.Kernel, compiler.Options) (*compiler.BuildResult, error) {
+		if calls.Add(1) > 1 {
+			return &compiler.BuildResult{}, nil
+		}
+		close(entered)
+		for hits, _ := c.Stats(); hits == 0; hits, _ = c.Stats() {
+			time.Sleep(time.Millisecond) // until the waiter has joined
+		}
+		panic("compiler died")
+	}
+	sp := CompileSpec{Name: "k", Options: compiler.DefaultOptions()}
+	go func() {
+		defer func() { recover() }()
+		c.Build(sp)
+	}()
+	<-entered
+
+	waited := make(chan error, 1)
+	go func() {
+		_, err := c.Build(sp)
+		waited <- err
+	}()
+	select {
+	case err := <-waited:
+		if err == nil {
+			t.Fatal("waiter of a panicked compile returned a nil error")
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("waiter stranded on a panicked compile")
+	}
+
+	// The entry was evicted, so a retry compiles fresh and succeeds.
+	build, err := c.Build(sp)
+	if err != nil || build == nil {
+		t.Fatalf("retry after a panicked compile: build=%v err=%v", build, err)
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("compiles = %d, want 2 (panicked + retry)", n)
+	}
+}
+
 // TestRunJobsSharesCompiles asserts the Fig. 7 job shape — two runs per
 // benchmark over one compile — really does hit the cache.
 func TestRunJobsSharesCompiles(t *testing.T) {

@@ -3,9 +3,10 @@ package harness
 import (
 	"context"
 	"errors"
-	"fmt"
+	"sync/atomic"
 	"time"
 
+	"repro/internal/compiler"
 	"repro/internal/core"
 	"repro/internal/cpu"
 	"repro/internal/memsys"
@@ -221,14 +222,23 @@ func (s *ForkStats) WarmupReduction() float64 {
 // compile) form fork groups. Each group's first member runs as the
 // probe — a full run that also captures the divergence-point snapshot —
 // and the rest resume from the snapshot, skipping the shared warmup.
-// Results are bit-identical to RunJobs; the two phases (probes and
-// un-grouped jobs, then continuations) both run on the worker pool.
+// Results are bit-identical to RunJobs and, like them, detached. Every
+// job runs on the worker pool; a continuation becomes runnable when its
+// probe finishes and is preferred over jobs not yet started.
 // Continuations bypass the result cache (their results are still
-// hermetic, but the probe path must run to produce the snapshot).
+// hermetic, but the probe path must run to produce the snapshot). A
+// group's snapshot is released as soon as its last continuation
+// finishes, not when the whole sweep returns.
 func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([]*RunResult, *ForkStats, error) {
 	type group struct {
 		members []int // job indices; members[0] is the probe
-		snap    *ForkSnapshot
+		// snap is the probe's snapshot (nil when no boundary was
+		// eligible), dropped by the continuation that brings pending to
+		// zero; every continuation reads it before its own decrement.
+		snap     *ForkSnapshot
+		pending  atomic.Int64
+		captured bool   // the probe produced a snapshot
+		cycle    uint64 // its Cycle, kept for the stats past the release
 	}
 	groups := map[string]*group{}
 	var order []string
@@ -256,69 +266,65 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 		for _, i := range g.members[1:] {
 			contOf[i] = g
 		}
+		g.pending.Store(int64(len(g.members) - 1))
 	}
 
 	out := make([]*RunResult, len(jobs))
+	fresh := make(chan int, len(jobs))     // probes and un-grouped jobs
+	resumable := make(chan int, len(jobs)) // continuations whose probe finished
 	sweepStart := time.Now()
 	runOne := func(ctx context.Context, i int) error {
-		j := &jobs[i]
-		jobStart := time.Now()
-		e.metrics.queueWait.Observe(uint64(jobStart.Sub(sweepStart)))
-		e.metrics.jobsStarted.Inc()
-		e.metrics.inflight.Inc()
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs)})
-		if j.Config.Metrics == nil {
-			j.Config.Metrics = e.cfg.Metrics
-		}
-		build, err := e.cache.Build(j.Compile)
-		if err == nil {
-			switch {
-			case probeOf[i] != nil:
-				var snap *ForkSnapshot
-				out[i], snap, err = RunForkProbeImage(ctx, build.Image, j.Config, ForkDivergence)
-				probeOf[i].snap = snap // nil when no boundary was eligible
-			case contOf[i] != nil && contOf[i].snap != nil:
-				out[i], err = RunForkedImage(ctx, build.Image, j.Config, contOf[i].snap)
-			case j.Config.OnOptimize == nil:
-				out[i], err = e.results.Run(ctx, j.Compile.Key(), build, j.Config)
-			default:
-				out[i], err = RunContext(ctx, build, j.Config)
+		return e.runJob(ctx, sweep, jobs, i, sweepStart, out, func(ctx context.Context, j *Job, build *compiler.BuildResult) (*RunResult, error) {
+			if g := probeOf[i]; g != nil {
+				res, snap, err := RunForkProbeImage(ctx, build.Image, j.Config, ForkDivergence)
+				if snap != nil {
+					g.snap, g.captured, g.cycle = snap, true, snap.Cycle
+				}
+				if err == nil {
+					for _, c := range g.members[1:] {
+						resumable <- c
+					}
+				}
+				return detach(res, err)
 			}
-		}
-		elapsed := uint64(time.Since(jobStart))
-		e.metrics.inflight.Dec()
-		e.metrics.jobLatency.Observe(elapsed)
-		e.metrics.workerBusy.Add(elapsed)
-		if err != nil {
-			e.metrics.jobsFailed.Inc()
-		} else {
-			e.metrics.jobsDone.Inc()
-			e.foldResult(out[i])
-		}
-		e.report(Progress{Sweep: sweep, Job: j.Name, Index: i, Total: len(jobs), Done: true, Err: err})
-		if err != nil {
-			return fmt.Errorf("%s: %w", j.Name, err)
-		}
-		return nil
+			if g := contOf[i]; g != nil {
+				snap := g.snap
+				defer func() {
+					if g.pending.Add(-1) == 0 {
+						g.snap = nil
+					}
+				}()
+				if snap != nil {
+					return detach(RunForkedImage(ctx, build.Image, j.Config, snap))
+				}
+			}
+			return e.runStraight(ctx, j, build)
+		})
 	}
 
-	// Phase A: probes plus every un-grouped job. Phase B: continuations,
-	// which need their group's snapshot and so wait for phase A's barrier.
-	var phaseA, phaseB []int
+	// Probes and un-grouped jobs are queued up front. A finished probe
+	// queues its group's continuations, and a free worker takes a queued
+	// continuation before the next up-front job, so continuations run
+	// right behind their probe and about one snapshot per worker is alive
+	// at a time.
 	for i := range jobs {
-		if contOf[i] != nil {
-			phaseB = append(phaseB, i)
-		} else {
-			phaseA = append(phaseA, i)
+		if contOf[i] == nil {
+			fresh <- i
 		}
 	}
-	if err := e.Map(ctx, len(phaseA), func(ctx context.Context, k int) error {
-		return runOne(ctx, phaseA[k])
-	}); err != nil {
-		return nil, nil, err
-	}
-	if err := e.Map(ctx, len(phaseB), func(ctx context.Context, k int) error {
-		return runOne(ctx, phaseB[k])
+	if err := e.Map(ctx, len(jobs), func(ctx context.Context, _ int) error {
+		var i int
+		select {
+		case i = <-resumable:
+		default:
+			select {
+			case i = <-resumable:
+			case i = <-fresh:
+			case <-ctx.Done():
+				return ctx.Err()
+			}
+		}
+		return runOne(ctx, i)
 	}); err != nil {
 		return nil, nil, err
 	}
@@ -326,14 +332,14 @@ func (e *Engine) RunJobsForked(ctx context.Context, sweep string, jobs []Job) ([
 	stats := &ForkStats{StraightRuns: len(jobs)}
 	for _, key := range order {
 		g := groups[key]
-		if len(g.members) < 2 || g.snap == nil {
+		if !g.captured {
 			continue
 		}
 		stats.Groups++
 		stats.ForkedRuns += len(g.members) - 1
 		stats.StraightRuns -= len(g.members) - 1
-		stats.WarmupForked += g.snap.Cycle
-		stats.WarmupStraight += uint64(len(g.members)) * g.snap.Cycle
+		stats.WarmupForked += g.cycle
+		stats.WarmupStraight += uint64(len(g.members)) * g.cycle
 	}
 	return out, stats, nil
 }

@@ -125,8 +125,8 @@ type RunResult struct {
 	CPU        cpu.Stats
 	Core       *core.Stats // nil when ADORE was off
 	Series     []SeriesPoint
-	Mem        *memsys.Hierarchy
-	DearEvents []DearEvent // non-nil only with CaptureDear
+	Mem        *memsys.Hierarchy // statistics-only (Detached) on engine results
+	DearEvents []DearEvent       // non-nil only with CaptureDear
 
 	// Observability outputs, non-nil only with RunConfig.Observe (and
 	// omitted from JSON otherwise, keeping unobserved output unchanged).
@@ -138,16 +138,36 @@ type RunResult struct {
 	// RunConfig.Profile (and omitted from JSON otherwise).
 	Profile *obs.Profile `json:",omitempty"`
 
+	// The simulated machine, never serialized and set only on results
+	// returned directly by RunContext, RunImage and the fork entry points
+	// (RunForkProbeImage, RunForkedImage). Engine results (RunJobs,
+	// RunJob, RunJobsForked, ResultCache) are detached and leave all four
+	// nil, so a retained result does not retain its machine.
+	//
 	// FinalMemory is the simulated data memory after the run — the
 	// observable program results, used by semantics-preservation tests.
-	FinalMemory *memsys.Memory `json:"-"`
-
-	// Differential-harness outputs (never serialized): the final
+	// Arch, Code and Controller serve the differential harness: the final
 	// architectural register state, the run's private code space (patched
 	// state included), and the controller when ADORE was attached.
-	Arch       *isa.ArchState     `json:"-"`
-	Code       *program.CodeSpace `json:"-"`
-	Controller *core.Controller   `json:"-"`
+	FinalMemory *memsys.Memory     `json:"-"`
+	Arch        *isa.ArchState     `json:"-"`
+	Code        *program.CodeSpace `json:"-"`
+	Controller  *core.Controller   `json:"-"`
+}
+
+// detach strips res down to statistics: it drops the simulated machine
+// (FinalMemory, Arch, Code, Controller) and swaps Mem for its
+// statistics-only copy, so the JSON encoding is unchanged. It mutates res
+// in place, so it runs only on a fresh result nobody else holds yet. The
+// signature wraps a runner's return values directly.
+func detach(res *RunResult, err error) (*RunResult, error) {
+	if res != nil {
+		res.FinalMemory, res.Arch, res.Code, res.Controller = nil, nil, nil, nil
+		if res.Mem != nil {
+			res.Mem = res.Mem.Detached()
+		}
+	}
+	return res, err
 }
 
 // ProfiledRun is a training run carrying its miss profile.

@@ -124,3 +124,25 @@ func (h *Hierarchy) Restore(s *HierarchySnapshot) error {
 	h.MSHRWaitCycles = s.mshrWaitCycles
 	return nil
 }
+
+// Detached returns a statistics-only copy of the cache: its configuration
+// and Stats, without the line storage or the way memo. The copy answers
+// Config, LineSize and Stats exactly like c, but it cannot simulate: any
+// access, fill or probe on it panics. Experiment results hold detached
+// caches so that retaining a result does not retain the cache's lines.
+func (c *Cache) Detached() *Cache {
+	d := *c
+	d.lines, d.lastWay = nil, nil
+	return &d
+}
+
+// Detached returns a statistics-only copy of the hierarchy: its
+// configuration, a Detached copy of every level, and the aggregate
+// counters, without line storage or the MSHR ring. Prefetch and JSON
+// marshaling give the same output as on h; simulating on the copy panics.
+func (h *Hierarchy) Detached() *Hierarchy {
+	d := *h
+	d.L1D, d.L1I, d.L2, d.L3 = h.L1D.Detached(), h.L1I.Detached(), h.L2.Detached(), h.L3.Detached()
+	d.inflight, d.infHead, d.infCount = nil, 0, 0
+	return &d
+}

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"encoding/json"
 	"reflect"
 	"sync"
 	"testing"
@@ -329,5 +330,70 @@ func TestMemoryForkFootprintSharing(t *testing.T) {
 	}
 	if m.Read64(0) == 99 {
 		t.Fatal("COW write reached the parent")
+	}
+}
+
+// TestHierarchyDetached pins the statistics-only copy: every counter,
+// Prefetch() and the JSON encoding match the live hierarchy, no level
+// keeps line storage (checked by reflection, so a new slice, map or
+// pointer field on Cache cannot silently ride along), and the live
+// hierarchy keeps simulating unaffected.
+func TestHierarchyDetached(t *testing.T) {
+	h := NewHierarchy(DefaultConfig())
+	for i := uint64(0); i < 4096; i++ {
+		h.AccessLoad(i*3, 0x1000+i*136)
+		h.AccessStore(i*3+1, 0x400000+i*72)
+		h.AccessPrefetch(i*3+2, 0x900000+i*512)
+		h.AccessInst(i*3, 0x40000+(i%512)*64)
+	}
+	d := h.Detached()
+
+	if d.Prefetch() != h.Prefetch() {
+		t.Errorf("Prefetch() diverged: %+v vs %+v", d.Prefetch(), h.Prefetch())
+	}
+	if d.Config() != h.Config() {
+		t.Error("Config() diverged")
+	}
+	if d.MemAccesses != h.MemAccesses || d.BusWaitCycles != h.BusWaitCycles ||
+		d.MSHRWaitCycles != h.MSHRWaitCycles || d.DroppedPrefetches != h.DroppedPrefetches ||
+		d.PrefetchesIssued != h.PrefetchesIssued {
+		t.Error("aggregate counters diverged")
+	}
+	hj, err := json.Marshal(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dj, err := json.Marshal(d)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(hj) != string(dj) {
+		t.Errorf("JSON diverged:\n live     %s\n detached %s", hj, dj)
+	}
+	if d.inflight != nil {
+		t.Error("detached hierarchy kept the MSHR ring")
+	}
+	levels := []struct{ live, det *Cache }{{h.L1D, d.L1D}, {h.L1I, d.L1I}, {h.L2, d.L2}, {h.L3, d.L3}}
+	for _, lv := range levels {
+		if lv.det == lv.live {
+			t.Fatalf("%s: detached copy shares the live cache", lv.live.cfg.Name)
+		}
+		if lv.det.Stats != lv.live.Stats || lv.det.Config() != lv.live.Config() || lv.det.LineSize() != lv.live.LineSize() {
+			t.Errorf("%s: stats or geometry diverged", lv.live.cfg.Name)
+		}
+		v := reflect.ValueOf(lv.det).Elem()
+		for i := 0; i < v.NumField(); i++ {
+			switch f := v.Field(i); f.Kind() {
+			case reflect.Slice, reflect.Map, reflect.Ptr:
+				if !f.IsNil() {
+					t.Errorf("%s: detached cache keeps storage in field %s", lv.live.cfg.Name, v.Type().Field(i).Name)
+				}
+			}
+		}
+	}
+
+	// The live hierarchy is untouched: it keeps hitting its resident lines.
+	if r := h.AccessLoad(1<<20, 0x1000+4095*136); r.Level != LevelL1 {
+		t.Errorf("live hierarchy lost its lines after Detached: %+v", r)
 	}
 }

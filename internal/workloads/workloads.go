@@ -43,24 +43,37 @@ func scaleRepeat(n int64, scale float64) int64 {
 	return v
 }
 
+// suite lists the benchmarks in the paper's Fig. 7 order (integer
+// programs first), each name beside its constructor, so that looking one
+// benchmark up or listing the names builds no kernel it does not return.
+// adore-serve looks a benchmark up on every request.
+var suite = []struct {
+	name  string
+	build func(scale float64) Benchmark
+}{
+	{"bzip2", bzip2}, {"gzip", gzip}, {"mcf", mcf}, {"vpr", vpr}, {"parser", parser},
+	{"gap", gap}, {"vortex", vortex}, {"gcc", gcc},
+	{"ammp", ammp}, {"art", art}, {"applu", applu}, {"equake", equake}, {"facerec", facerec},
+	{"fma3d", fma3d}, {"lucas", lucas}, {"mesa", mesa}, {"swim", swim},
+}
+
 // All returns the 17 benchmarks in the paper's Fig. 7 order (integer
 // programs first). scale multiplies phase repeat counts: 1.0 reproduces the
 // standard run lengths (tens of millions of simulated instructions), tests
 // use smaller values.
 func All(scale float64) []Benchmark {
-	return []Benchmark{
-		bzip2(scale), gzip(scale), mcf(scale), vpr(scale), parser(scale),
-		gap(scale), vortex(scale), gcc(scale),
-		ammp(scale), art(scale), applu(scale), equake(scale), facerec(scale),
-		fma3d(scale), lucas(scale), mesa(scale), swim(scale),
+	all := make([]Benchmark, len(suite))
+	for i, s := range suite {
+		all[i] = s.build(scale)
 	}
+	return all
 }
 
 // ByName returns one benchmark at the given scale.
 func ByName(name string, scale float64) (Benchmark, error) {
-	for _, b := range All(scale) {
-		if b.Name == name {
-			return b, nil
+	for _, s := range suite {
+		if s.name == name {
+			return s.build(scale), nil
 		}
 	}
 	return Benchmark{}, fmt.Errorf("workloads: unknown benchmark %q", name)
@@ -68,9 +81,9 @@ func ByName(name string, scale float64) (Benchmark, error) {
 
 // Names lists the benchmark names in suite order.
 func Names() []string {
-	names := make([]string, 0, 17)
-	for _, b := range All(0.01) {
-		names = append(names, b.Name)
+	names := make([]string, len(suite))
+	for i, s := range suite {
+		names[i] = s.name
 	}
 	return names
 }

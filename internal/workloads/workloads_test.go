@@ -47,6 +47,24 @@ func TestSuiteShape(t *testing.T) {
 	}
 }
 
+// TestSuiteNames pins the registry: every listed name builds the
+// benchmark of that name, in All's order.
+func TestSuiteNames(t *testing.T) {
+	names := workloads.Names()
+	all := workloads.All(0.01)
+	if len(names) != len(all) {
+		t.Fatalf("%d names for %d benchmarks", len(names), len(all))
+	}
+	for i, name := range names {
+		if all[i].Name != name {
+			t.Errorf("All()[%d] is %s, Names()[%d] is %s", i, all[i].Name, i, name)
+		}
+		if b, err := workloads.ByName(name, 0.01); err != nil || b.Name != name {
+			t.Errorf("ByName(%s) = %s, %v", name, b.Name, err)
+		}
+	}
+}
+
 func TestByName(t *testing.T) {
 	b, err := workloads.ByName("mcf", 1.0)
 	if err != nil || b.Name != "mcf" {
