@@ -129,7 +129,7 @@ func TestEngineResultsDetached(t *testing.T) {
 	ctx := context.Background()
 	var hooked int
 	jobs := detachJobs(t, &hooked)
-	cache := NewBuildCache()
+	cache := NewBuildCache(0)
 	direct := make([]*RunResult, len(jobs))
 	for i, j := range jobs {
 		build, err := cache.Build(j.Compile)

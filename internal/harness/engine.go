@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"repro/internal/compiler"
+	"repro/internal/flight"
 	"repro/internal/metrics"
 )
 
@@ -48,9 +49,10 @@ type EngineConfig struct {
 	Metrics *metrics.Registry
 
 	// ResultCacheCap bounds the engine's result cache to this many
-	// completed runs (LRU eviction past it). Zero keeps the cache
-	// unbounded — right for one-shot sweeps, wrong for a long-lived
-	// service, which is why adore-serve always sets it.
+	// completed runs and its build cache to this many builds (LRU
+	// eviction past it). Zero keeps both caches unbounded — right for
+	// one-shot sweeps, wrong for a long-lived service, which is why
+	// adore-serve always sets it.
 	ResultCacheCap int
 }
 
@@ -71,7 +73,7 @@ type Engine struct {
 // Fig. 11 all compile the same O2 kernels, and Table 2 re-runs Fig. 7's
 // exact machine configurations.
 func NewEngine(cfg EngineConfig) *Engine {
-	e := &Engine{cfg: cfg, cache: NewBuildCache(), results: NewResultCacheBounded(cfg.ResultCacheCap)}
+	e := &Engine{cfg: cfg, cache: NewBuildCache(cfg.ResultCacheCap), results: NewResultCache(cfg.ResultCacheCap)}
 	e.metrics = newEngineMetrics(cfg.Metrics)
 	e.metrics.workers.Set(int64(e.Parallelism()))
 	r := cfg.Metrics
@@ -258,240 +260,104 @@ func (e *Engine) RunJob(ctx context.Context, sweep string, job Job) (*RunResult,
 }
 
 // BuildCache is a single-flight cache of compiler builds keyed by
-// CompileSpec.Key. Sharing one BuildResult between concurrent runs is safe
-// because runs copy the code segment and never mutate the image.
+// CompileSpec.Key, on the shared flight.Cache. Sharing one BuildResult
+// between concurrent runs is safe because runs copy the code segment and
+// never mutate the image. A failed or panicking compile is not cached:
+// its waiters get the error and the next request compiles again (compile
+// errors are deterministic, so a retry just reports the same error).
 type BuildCache struct {
-	mu      sync.Mutex
-	entries map[string]*cacheEntry
-	hits    atomic.Uint64
-	misses  atomic.Uint64
-	mHits   *metrics.Counter // optional live mirrors (SetMetrics)
-	mMisses *metrics.Counter
-
-	// buildFn performs the compile; tests substitute a panicking compile
-	// to pin the stranded-waiter fix without real workloads.
-	buildFn func(*compiler.Kernel, compiler.Options) (*compiler.BuildResult, error)
+	c *flight.Cache[*compiler.BuildResult]
 }
 
-type cacheEntry struct {
-	ready chan struct{} // closed once build/err are set
-	build *compiler.BuildResult
-	err   error
-}
-
-// NewBuildCache returns an empty cache.
-func NewBuildCache() *BuildCache {
-	return &BuildCache{entries: map[string]*cacheEntry{}, buildFn: compiler.Build}
+// NewBuildCache returns an empty cache holding at most capacity builds,
+// evicting the least recently used beyond it. A capacity <= 0 is
+// unbounded.
+func NewBuildCache(capacity int) *BuildCache {
+	return &BuildCache{flight.New[*compiler.BuildResult](capacity)}
 }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
 // counters (nil instruments are valid and free). Call before use.
-func (c *BuildCache) SetMetrics(hits, misses *metrics.Counter) {
-	c.mHits, c.mMisses = hits, misses
-}
+func (c *BuildCache) SetMetrics(hits, misses *metrics.Counter) { c.c.SetMetrics(hits, misses, nil) }
 
 // Build returns the build for spec, compiling at most once per key no
 // matter how many goroutines ask concurrently: latecomers block until the
-// first caller's compile finishes and share its result (and error). A
-// compile error is deterministic and stays cached; a panicking compile
-// releases its waiters with an error and is evicted before the panic
-// propagates, so neither they nor later callers block on it forever.
+// first caller's compile finishes and share its result. A compile takes
+// no context and cannot be canceled, so neither can waiting for one.
 func (c *BuildCache) Build(spec CompileSpec) (*compiler.BuildResult, error) {
-	key := spec.Key()
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.mu.Unlock()
-		c.hits.Add(1)
-		c.mHits.Inc()
-		<-e.ready
-		return e.build, e.err
-	}
-	e := &cacheEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
-	c.mMisses.Inc()
-
-	finished := false
-	defer func() {
-		if !finished {
-			e.err = fmt.Errorf("harness: build of %s died", key)
-			c.mu.Lock()
-			delete(c.entries, key)
-			c.mu.Unlock()
-			close(e.ready)
-		}
-	}()
-	e.build, e.err = c.buildFn(spec.Kernel, spec.Options)
-	finished = true
-	close(e.ready)
-	return e.build, e.err
+	build, _, err := c.c.Do(context.Background(), spec.Key(), func(context.Context) (*compiler.BuildResult, error) {
+		return compiler.Build(spec.Kernel, spec.Options)
+	})
+	return build, err
 }
 
 // Stats reports cache effectiveness: hits are requests served by an
 // existing or in-flight compile, misses are actual compiles.
 func (c *BuildCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.c.Stats()
+	return hits, misses
 }
 
-// ResultCache is a single-flight cache of completed runs, keyed by the
-// compile key plus the RunConfig fingerprint. It stores and returns
-// detached results: statistics only (CPU and controller stats, series,
-// observability outputs, and a statistics-only Mem), with nil
-// FinalMemory, Arch, Code and Controller. A cached entry therefore costs
-// kilobytes, not the simulated heap, code copy, trace pool and cache
-// lines of the machine that produced it. One *RunResult is shared by
-// every hit, so results are read-only by contract. Differential and
-// semantics checks need the machine and call RunContext directly.
+// Evictions reports how many builds the capacity bound dropped.
+func (c *BuildCache) Evictions() uint64 {
+	_, _, ev := c.c.Stats()
+	return ev
+}
+
+// Len reports the number of cached (and in-flight) builds.
+func (c *BuildCache) Len() int { return c.c.Len() }
+
+// ResultCache is a single-flight cache of completed runs on the shared
+// flight.Cache, keyed by the compile key plus the RunConfig fingerprint.
+// It stores and returns detached results: statistics only (CPU and
+// controller stats, series, observability outputs, and a statistics-only
+// Mem), with nil FinalMemory, Arch, Code and Controller. A cached entry
+// therefore costs kilobytes, not the simulated heap, code copy, trace
+// pool and cache lines of the machine that produced it. One *RunResult is
+// shared by every hit, so results are read-only by contract. Differential
+// and semantics checks need the machine and call RunContext directly.
 //
-// An optional capacity (NewResultCacheBounded) turns the cache into an
-// LRU: completed entries beyond the bound are evicted oldest-touched
-// first, which is what a long-lived process (adore-serve) needs — the
-// unbounded form grows forever under a diverse query mix. In-flight
-// entries are never evicted: their waiters hold the entry pointer, and
-// evicting one would let a concurrent identical request start a duplicate
-// simulation.
-type ResultCache struct {
-	mu        sync.Mutex
-	entries   map[string]*resultEntry
-	order     []string // completed keys, oldest-touched first (bounded mode only)
-	capacity  int      // 0 = unbounded
-	hits      atomic.Uint64
-	misses    atomic.Uint64
-	evictions atomic.Uint64
-	mHits     *metrics.Counter // optional live mirrors (SetMetrics)
-	mMisses   *metrics.Counter
+// A capacity turns the cache into an LRU over completed runs, which is
+// what a long-lived process (adore-serve) needs — the unbounded form
+// grows forever under a diverse query mix.
+type ResultCache struct{ c *flight.Cache[*RunResult] }
 
-	// runFn performs the simulation; tests substitute a controllable
-	// runner to pin the single-flight edge cases (stranded waiters,
-	// panicking runners) without real workloads.
-	runFn func(context.Context, *compiler.BuildResult, RunConfig) (*RunResult, error)
-}
-
-type resultEntry struct {
-	ready chan struct{} // closed once res/err are set
-	res   *RunResult
-	err   error
-}
-
-// NewResultCache returns an empty, unbounded cache.
-func NewResultCache() *ResultCache {
-	return &ResultCache{entries: map[string]*resultEntry{}, runFn: RunContext}
-}
-
-// NewResultCacheBounded returns an empty cache holding at most capacity
-// completed results, evicting least-recently-touched entries beyond it.
-// A capacity <= 0 is unbounded.
-func NewResultCacheBounded(capacity int) *ResultCache {
-	c := NewResultCache()
-	if capacity > 0 {
-		c.capacity = capacity
-	}
-	return c
+// NewResultCache returns an empty cache holding at most capacity
+// completed results, evicting the least recently used beyond it. A
+// capacity <= 0 is unbounded.
+func NewResultCache(capacity int) *ResultCache {
+	return &ResultCache{flight.New[*RunResult](capacity)}
 }
 
 // SetMetrics mirrors the cache's hit/miss counters onto live metric
 // counters (nil instruments are valid and free). Call before use.
-func (c *ResultCache) SetMetrics(hits, misses *metrics.Counter) {
-	c.mHits, c.mMisses = hits, misses
-}
+func (c *ResultCache) SetMetrics(hits, misses *metrics.Counter) { c.c.SetMetrics(hits, misses, nil) }
 
-// Run returns the result of simulating build under cfg, running each
-// distinct (compileKey, cfg.Fingerprint()) pair at most once no matter how
-// many goroutines ask concurrently. A failed run is handed to its waiters
-// but evicted from the cache, so a later retry (e.g. after a canceled
-// sweep) re-runs instead of replaying a stale context error. Waiters block
-// on the in-flight run OR their own context — a waiter whose context fires
-// returns immediately instead of stranding on a runner that never
-// finishes — and a panicking runner releases its waiters (with an error in
-// the entry) before the panic propagates.
+// Run returns the detached result of simulating build under cfg, running
+// each distinct (compileKey, cfg.Fingerprint()) pair at most once no
+// matter how many goroutines ask concurrently. The simulation runs under
+// the first caller's ctx; a waiter returns early when its own ctx fires,
+// and a failed run (e.g. a canceled sweep) is not cached, so a retry
+// re-runs instead of replaying a stale context error.
 func (c *ResultCache) Run(ctx context.Context, compileKey string, build *compiler.BuildResult, cfg RunConfig) (*RunResult, error) {
-	key := compileKey + "|" + cfg.Fingerprint()
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.touchLocked(key)
-		c.mu.Unlock()
-		c.hits.Add(1)
-		c.mHits.Inc()
-		select {
-		case <-e.ready:
-			return e.res, e.err
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		}
-	}
-	e := &resultEntry{ready: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
-	c.mMisses.Inc()
-
-	finished := false
-	defer func() {
-		if !finished {
-			// The runner panicked. Evict the entry and release the waiters
-			// with an error before the panic unwinds, so nobody strands on
-			// a ready channel that would otherwise never close.
-			e.err = fmt.Errorf("harness: result-cache runner for %s died", key)
-			c.mu.Lock()
-			delete(c.entries, key)
-			c.mu.Unlock()
-			close(e.ready)
-		}
-	}()
-	e.res, e.err = detach(c.runFn(ctx, build, cfg))
-	finished = true
-	c.mu.Lock()
-	if e.err != nil {
-		delete(c.entries, key)
-	} else {
-		c.completeLocked(key)
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	return e.res, e.err
-}
-
-// touchLocked marks key most-recently-used (bounded mode; no-op otherwise
-// or while the key is still in flight).
-func (c *ResultCache) touchLocked(key string) {
-	if c.capacity == 0 {
-		return
-	}
-	for i, k := range c.order {
-		if k == key {
-			c.order = append(append(c.order[:i], c.order[i+1:]...), key)
-			return
-		}
-	}
-}
-
-// completeLocked records a freshly completed key and evicts past capacity.
-func (c *ResultCache) completeLocked(key string) {
-	if c.capacity == 0 {
-		return
-	}
-	c.order = append(c.order, key)
-	for len(c.order) > c.capacity {
-		victim := c.order[0]
-		c.order = c.order[1:]
-		delete(c.entries, victim)
-		c.evictions.Add(1)
-	}
+	res, _, err := c.c.Do(ctx, compileKey+"|"+cfg.Fingerprint(), func(ctx context.Context) (*RunResult, error) {
+		return detach(RunContext(ctx, build, cfg))
+	})
+	return res, err
 }
 
 // Stats reports cache effectiveness: hits are requests served by an
 // existing or in-flight run, misses are actual simulations.
 func (c *ResultCache) Stats() (hits, misses uint64) {
-	return c.hits.Load(), c.misses.Load()
+	hits, misses, _ = c.c.Stats()
+	return hits, misses
 }
 
-// Evictions reports how many completed results the bounded mode dropped.
-func (c *ResultCache) Evictions() uint64 { return c.evictions.Load() }
+// Evictions reports how many completed results the capacity bound dropped.
+func (c *ResultCache) Evictions() uint64 {
+	_, _, ev := c.c.Stats()
+	return ev
+}
 
 // Len reports the number of cached (and in-flight) entries.
-func (c *ResultCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.entries)
-}
+func (c *ResultCache) Len() int { return c.c.Len() }

@@ -243,13 +243,22 @@ func writeError(w http.ResponseWriter, err error) {
 	}
 }
 
+// maxBodyBytes bounds a request body: far above any valid /run or /sweep
+// document, small enough that no client can make decode buffer without
+// bound.
+const maxBodyBytes = 1 << 20
+
 // decode parses a JSON request body strictly: unknown fields are a 400
 // (a misspelled option silently meaning a different simulation is worse
-// than an error).
-func decode(req *http.Request, into any) *httpError {
-	dec := json.NewDecoder(req.Body)
+// than an error), and a body over maxBodyBytes is a 413.
+func decode(w http.ResponseWriter, req *http.Request, into any) *httpError {
+	dec := json.NewDecoder(http.MaxBytesReader(w, req.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(into); err != nil {
+		var tooLarge *http.MaxBytesError
+		if errors.As(err, &tooLarge) {
+			return &httpError{code: http.StatusRequestEntityTooLarge, msg: fmt.Sprintf("request body over %d bytes", tooLarge.Limit)}
+		}
 		return badRequest("bad request JSON: %v", err)
 	}
 	return nil
@@ -262,7 +271,7 @@ func (s *Server) handleRun(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var rr RunRequest
-	if err := decode(req, &rr); err != nil {
+	if err := decode(w, req, &rr); err != nil {
 		s.failures.Inc()
 		writeError(w, err)
 		return
@@ -294,7 +303,7 @@ func (s *Server) handleSweep(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	var sr SweepRequest
-	if err := decode(req, &sr); err != nil {
+	if err := decode(w, req, &sr); err != nil {
 		s.failures.Inc()
 		writeError(w, err)
 		return

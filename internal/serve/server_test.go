@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -244,5 +245,32 @@ func TestShardsEndpoint(t *testing.T) {
 	}
 	if workers == 0 {
 		t.Fatal("shard table shows no worker slots allocated")
+	}
+}
+
+// TestOversizedBody pins the body bound: a /run or /sweep document over
+// maxBodyBytes is a 413, and it reaches neither the response cache nor
+// the engine.
+func TestOversizedBody(t *testing.T) {
+	s, ts := testServer(t)
+	readAll(t, post(t, ts.URL+"/run", `{"workload":"gzip","scale":0.02}`))
+	counters := func() [3]uint64 {
+		_, misses, _ := s.Cache().Stats()
+		reg := s.Registry()
+		return [3]uint64{misses,
+			reg.Counter("adore_engine_build_cache_misses_total", "").Value(),
+			reg.Counter("adore_engine_result_cache_misses_total", "").Value()}
+	}
+	before := counters()
+	huge := `{"workload":"` + strings.Repeat("a", maxBodyBytes) + `"}`
+	for _, path := range []string{"/run", "/sweep"} {
+		resp := post(t, ts.URL+path, huge)
+		readAll(t, resp)
+		if resp.StatusCode != http.StatusRequestEntityTooLarge {
+			t.Errorf("%s: oversized body: status %d, want 413", path, resp.StatusCode)
+		}
+	}
+	if after := counters(); after != before {
+		t.Fatalf("serve/build/result misses %v -> %v: an oversized body reached the cache or engine", before, after)
 	}
 }

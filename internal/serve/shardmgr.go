@@ -251,10 +251,11 @@ func (m *ShardManager) split(weight []float64) []int {
 	floor := m.cfg.MinPerShard
 	total := m.cfg.TotalSlots
 	if total < n*floor {
-		// Budget under the floor (more shards than cores): the floor wins.
-		// A zero-slot shard deadlocks every miss that hashes to it, while
-		// oversubscribing is harmless — the engine's own worker pool still
-		// bounds real concurrency; shard slots only shape the queue.
+		// Budget under the floor (more shards than slots): the floor wins,
+		// because a zero-slot shard deadlocks every miss that hashes to it.
+		// This oversubscribes: nothing else bounds concurrent simulations
+		// (each Engine.RunJob call runs on a worker of its own), so up to
+		// n*floor misses simulate at once, more than TotalSlots.
 		for i := range alloc {
 			alloc[i] = floor
 		}

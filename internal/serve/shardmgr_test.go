@@ -146,8 +146,8 @@ func TestRebalanceTracksLoad(t *testing.T) {
 
 	// Shard 0: 100 requests × 200ms mean over a 1s interval ≈ 20 slots of
 	// offered work. Shard 1: idle.
-	cache.shards[0].requests.Add(100)
-	cache.shards[0].latencyNS.Add(100 * 200_000_000)
+	cache.load[0].requests.Add(100)
+	cache.load[0].latencyNS.Add(100 * 200_000_000)
 	m.Rebalance(time.Second)
 
 	alloc := m.Allocations()
